@@ -45,6 +45,31 @@ void BM_Fft3dInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft3dInverse)->Arg(32)->Arg(64);
 
+// Batched forward + inverse pair at the shapes the step benchmark runs:
+// K = 48 × 48 meshes (16-column block applies, n = 1000) and K = 72 × 1 /
+// × 48 (single apply and 16-column wave-space sample, n = 4000).
+void BM_Fft3dBatch(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const std::size_t batch = static_cast<std::size_t>(state.range(1));
+  Fft3d fft(k, k, k);
+  aligned_vector<double> mesh(fft.real_size() * batch), back(mesh.size());
+  aligned_vector<Complex> spec(fft.complex_size() * batch);
+  Xoshiro256 rng(5);
+  fill_gaussian(rng, {mesh.data(), mesh.size()});
+  for (auto _ : state) {
+    fft.forward_batch(mesh.data(), spec.data(), batch);
+    fft.inverse_batch(spec.data(), back.data(), batch);
+    benchmark::DoNotOptimize(back.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(fft.real_size() * batch));
+}
+BENCHMARK(BM_Fft3dBatch)
+    ->Args({48, 48})
+    ->Args({72, 1})
+    ->Args({72, 48})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_BcsrSpmvSingle(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const ParticleSystem sys = benchmark_suspension(n);

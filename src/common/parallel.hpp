@@ -28,6 +28,15 @@ inline int thread_id() {
 #endif
 }
 
+/// Threads in the innermost enclosing parallel region (1 outside one).
+inline int team_size() {
+#ifdef _OPENMP
+  return omp_get_num_threads();
+#else
+  return 1;
+#endif
+}
+
 /// Contiguous slice [begin, end) of an n-element range assigned to chunk
 /// `which` out of `chunks`, balanced to within one element.
 inline std::pair<std::size_t, std::size_t> split_range(std::size_t n,

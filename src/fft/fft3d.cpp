@@ -7,6 +7,123 @@
 
 namespace hbd {
 
+namespace {
+constexpr std::size_t W = Fft1dPlan::kLanes;
+
+// Lane l's element j lives at base[j·stride + l]: deinterleaves row j's
+// `lanes` ≤ W complexes into the split tile (unused lanes zeroed), and back.
+void load_row(const Complex* row, std::size_t lanes, double* re, double* im) {
+  const double* src = reinterpret_cast<const double*>(row);
+  if (lanes == W) {
+#pragma omp simd
+    for (std::size_t l = 0; l < W; ++l) {
+      re[l] = src[2 * l];
+      im[l] = src[2 * l + 1];
+    }
+    return;
+  }
+  for (std::size_t l = 0; l < W; ++l) {
+    re[l] = l < lanes ? src[2 * l] : 0.0;
+    im[l] = l < lanes ? src[2 * l + 1] : 0.0;
+  }
+}
+
+void store_row(Complex* row, std::size_t lanes, const double* re,
+               const double* im) {
+  double* dst = reinterpret_cast<double*>(row);
+  if (lanes == W) {
+#pragma omp simd
+    for (std::size_t l = 0; l < W; ++l) {
+      dst[2 * l] = re[l];
+      dst[2 * l + 1] = im[l];
+    }
+    return;
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    dst[2 * l] = re[l];
+    dst[2 * l + 1] = im[l];
+  }
+}
+
+// Transforms the `lanes` ≤ W complex lines starting at `base`: element j of
+// line l lives at base[j·stride + l], so the lanes are adjacent in memory.
+void transform_lines(const Fft1dPlan& plan, Complex* base, std::size_t stride,
+                     std::size_t lanes, double* re, double* im, bool forward) {
+  const std::size_t n = plan.size();
+  const std::vector<std::size_t>& perm = plan.perm();
+  for (std::size_t j = 0; j < n; ++j)
+    load_row(base + perm[j] * stride, lanes, re + j * W, im + j * W);
+  plan.transform_tile<W>(re, im, forward);
+  for (std::size_t k = 0; k < n; ++k)
+    store_row(base + k * stride, lanes, re + k * W, im + k * W);
+}
+
+// The lines l0 .. l0+count−1 of a z pass: line L is component L mod batch of
+// the xy block L / batch, whose elements sit `batch` apart inside blocks of
+// `block` elements.  A full chunk inside one block (batch a multiple of W)
+// is contiguous, like the lines of the y and x passes.
+struct ZLanes {
+  std::size_t off[W] = {};
+  std::size_t count;
+  bool contiguous;
+
+  ZLanes(std::size_t l0, std::size_t lines, std::size_t batch,
+         std::size_t block)
+      : count(std::min(W, lines - l0)) {
+    std::size_t xy = l0 / batch, q = l0 % batch;
+    for (std::size_t l = 0; l < count; ++l) {
+      off[l] = xy * block + q;
+      if (++q == batch) {
+        q = 0;
+        ++xy;
+      }
+    }
+    contiguous = count == W && off[W - 1] - off[0] == W - 1;
+  }
+};
+
+// Element d of every lane into dst[0..W), unused lanes zeroed.
+void load_real(const double* base, const ZLanes& z, std::size_t d,
+               double* dst) {
+  if (z.contiguous) {
+    const double* src = base + z.off[0] + d;
+#pragma omp simd
+    for (std::size_t l = 0; l < W; ++l) dst[l] = src[l];
+    return;
+  }
+  for (std::size_t l = 0; l < W; ++l)
+    dst[l] = l < z.count ? base[z.off[l] + d] : 0.0;
+}
+
+void store_real(double* base, const ZLanes& z, std::size_t d,
+                const double* src) {
+  if (z.contiguous) {
+    double* dst = base + z.off[0] + d;
+#pragma omp simd
+    for (std::size_t l = 0; l < W; ++l) dst[l] = src[l];
+    return;
+  }
+  for (std::size_t l = 0; l < z.count; ++l) base[z.off[l] + d] = src[l];
+}
+
+void load_complex(const Complex* base, const ZLanes& z, std::size_t d,
+                  double* re, double* im) {
+  if (z.contiguous) return load_row(base + z.off[0] + d, W, re, im);
+  for (std::size_t l = 0; l < W; ++l) {
+    const Complex c = l < z.count ? base[z.off[l] + d] : Complex{};
+    re[l] = c.real();
+    im[l] = c.imag();
+  }
+}
+
+void store_complex(Complex* base, const ZLanes& z, std::size_t d,
+                   const double* re, const double* im) {
+  if (z.contiguous) return store_row(base + z.off[0] + d, W, re, im);
+  for (std::size_t l = 0; l < z.count; ++l)
+    base[z.off[l] + d] = {re[l], im[l]};
+}
+}  // namespace
+
 Fft3d::Fft3d(std::size_t nx, std::size_t ny, std::size_t nz)
     : nx_(nx),
       ny_(ny),
@@ -16,52 +133,68 @@ Fft3d::Fft3d(std::size_t nx, std::size_t ny, std::size_t nz)
       plan_y_(ny),
       plan_zh_(nz / 2) {
   HBD_CHECK_MSG(nz % 2 == 0 && nz >= 2, "Fft3d requires even nz");
-  wz_.resize(nz / 2 + 1);
   for (std::size_t k = 0; k <= nz / 2; ++k) {
     const double ang = -2.0 * std::numbers::pi * static_cast<double>(k) /
                        static_cast<double>(nz);
-    wz_[k] = {std::cos(ang), std::sin(ang)};
+    const Complex w{std::cos(ang), std::sin(ang)};
+    const Complex c = Complex{0.0, 1.0} * std::conj(w);  // exact
+    wz_re_.push_back(w.real());
+    wz_im_.push_back(w.imag());
+    cz_re_.push_back(c.real());
+    cz_im_.push_back(c.imag());
   }
 }
 
-// The batched passes keep the batch dimension fastest in memory and work
-// one xy block / line tile at a time: the contiguous interleaved chunk is
-// staged into a small per-thread buffer (component-major), every line is
-// transformed from contiguous storage, and the result is scattered back.
-// All global memory is touched in full cache lines, and for batch == 1 each
-// pass degenerates to exactly the single-mesh pass.
+// Every pass cuts its lines into chunks of W adjacent lines — adjacent in
+// the interleaved batch layout, so a chunk spans the batch components of one
+// line position before it moves on to the next position — and transforms a
+// chunk on a per-thread split tile.  The gather writes the tile in the
+// plan's digit-reversed order; the scatter reads it in natural order.  A
+// lane's arithmetic does not depend on its neighbours, so the batched and
+// single-mesh transforms are bitwise identical per component, for any
+// thread count.
 
-// Real-to-complex along z (one contiguous nz×batch block per xy point).
+// Real-to-complex along z: each line's even/odd samples form a half-length
+// complex sequence, transformed and then untangled into the half spectrum.
 void Fft3d::pass_z_forward(const double* in, Complex* out,
                            std::size_t batch) const {
   const std::size_t h = nz_ / 2;
+  const std::size_t lines = nx_ * ny_ * batch;
+  const std::vector<std::size_t>& perm = plan_zh_.perm();
 #pragma omp parallel
   {
-    aligned_vector<Complex> zall(h * batch), zf(h),
-        ws(plan_zh_.workspace_size());
+    aligned_vector<double> re(h * W), im(h * W);
 #pragma omp for schedule(static)
-    for (std::size_t xy = 0; xy < nx_ * ny_; ++xy) {
-      const double* blk = in + xy * nz_ * batch;
-      Complex* cblk = out + xy * nzh_ * batch;
-      // Pack even/odd samples of every component into half-length complex
-      // sequences (component-major in the local tile; the global read is
-      // one sequential sweep of the block).
-      for (std::size_t j = 0; j < h; ++j)
-        for (std::size_t q = 0; q < batch; ++q)
-          zall[q * h + j] = {blk[2 * j * batch + q],
-                             blk[(2 * j + 1) * batch + q]};
-      for (std::size_t q = 0; q < batch; ++q) {
-        std::copy(zall.begin() + q * h, zall.begin() + (q + 1) * h,
-                  zf.begin());
-        plan_zh_.forward(zf.data(), ws.data());
-        // Untangle: X[k] = E[k] + w^k O[k].
-        for (std::size_t k = 0; k <= h; ++k) {
-          const Complex zk = zf[k % h];
-          const Complex zmk = std::conj(zf[(h - k) % h]);
-          const Complex e = 0.5 * (zk + zmk);
-          const Complex o = Complex{0.0, -0.5} * (zk - zmk);
-          cblk[k * batch + q] = e + wz_[k] * o;
+    for (std::size_t l0 = 0; l0 < lines; l0 += W) {
+      const ZLanes src(l0, lines, batch, nz_ * batch);
+      const ZLanes dst(l0, lines, batch, nzh_ * batch);
+      for (std::size_t j = 0; j < h; ++j) {
+        load_real(in, src, 2 * perm[j] * batch, re.data() + j * W);
+        load_real(in, src, (2 * perm[j] + 1) * batch, im.data() + j * W);
+      }
+      plan_zh_.transform_tile<W>(re.data(), im.data(), /*forward=*/true);
+      // Untangle X[k] = E[k] + w^k O[k] with E = (Z[k] + conj Z[h−k]) / 2 and
+      // O = −i/2 (Z[k] − conj Z[h−k]) (indices mod h); w^k·O in the form
+      // re = fma(wr, or, −(wi·oi)), im = fma(wi, or, wr·oi).
+      for (std::size_t k = 0; k <= h; ++k) {
+        const double* ar = re.data() + (k == h ? 0 : k) * W;
+        const double* ai = im.data() + (k == h ? 0 : k) * W;
+        const double* br = re.data() + (k == 0 ? 0 : h - k) * W;
+        const double* bi = im.data() + (k == 0 ? 0 : h - k) * W;
+        const double wr = wz_re_[k], wi = wz_im_[k];
+        alignas(64) double xr[W], xi[W];
+#pragma omp simd
+        for (std::size_t l = 0; l < W; ++l) {
+          const double zr = ar[l], zi = ai[l], mr = br[l], mi = -bi[l];
+          const double er = 0.5 * (zr + mr), ei = 0.5 * (zi + mi);
+          const double dr = zr - mr, di = zi - mi;
+          // (0 − i/2)·d as the full complex product (exact).
+          const double o_r = std::fma(0.0, dr, -(-0.5 * di));
+          const double o_i = std::fma(0.0, di, -0.5 * dr);
+          xr[l] = er + std::fma(wr, o_r, -(wi * o_i));
+          xi[l] = ei + std::fma(wi, o_r, wr * o_i);
         }
+        store_complex(out, dst, k * batch, xr, xi);
       }
     }
   }
@@ -72,83 +205,70 @@ void Fft3d::pass_z_forward(const double* in, Complex* out,
 void Fft3d::pass_z_inverse(const Complex* in, double* out,
                            std::size_t batch) const {
   const std::size_t h = nz_ / 2;
+  const std::size_t lines = nx_ * ny_ * batch;
+  const std::vector<std::size_t>& perm = plan_zh_.perm();
 #pragma omp parallel
   {
-    aligned_vector<Complex> zall(h * batch), ws(plan_zh_.workspace_size());
+    aligned_vector<double> re(h * W), im(h * W);
 #pragma omp for schedule(static)
-    for (std::size_t xy = 0; xy < nx_ * ny_; ++xy) {
-      const Complex* cblk = in + xy * nzh_ * batch;
-      double* blk = out + xy * nz_ * batch;
-      for (std::size_t q = 0; q < batch; ++q) {
-        Complex* z = zall.data() + q * h;
-        for (std::size_t k = 0; k < h; ++k) {
-          const Complex a = cblk[k * batch + q];
-          const Complex b = std::conj(cblk[(h - k) * batch + q]);
-          // Z[k] = (A+B) + i·conj(w^k)·(A−B), so that the unnormalized
-          // half-length inverse yields x[2j] + i x[2j+1].
-          z[k] = (a + b) + Complex{0.0, 1.0} * std::conj(wz_[k]) * (a - b);
+    for (std::size_t l0 = 0; l0 < lines; l0 += W) {
+      const ZLanes src(l0, lines, batch, nzh_ * batch);
+      const ZLanes dst(l0, lines, batch, nz_ * batch);
+      // Z[k] = (A+B) + c_k·(A−B) with B = conj X[h−k] and c_k = i·conj(w^k),
+      // so that the unnormalized half-length inverse yields x[2j] + i x[2j+1];
+      // c_k·d in the form re = fma(cr, dr, −(ci·di)), im = fma(cr, di, ci·dr).
+      for (std::size_t j = 0; j < h; ++j) {
+        const std::size_t k = perm[j];
+        const double cr = cz_re_[k], ci = cz_im_[k];
+        alignas(64) double ar[W], ai[W], br[W], bi[W];
+        load_complex(in, src, k * batch, ar, ai);
+        load_complex(in, src, (h - k) * batch, br, bi);
+#pragma omp simd
+        for (std::size_t l = 0; l < W; ++l) {
+          const double bc = -bi[l];  // conj
+          const double sr = ar[l] + br[l], si = ai[l] + bc;
+          const double dr = ar[l] - br[l], di = ai[l] - bc;
+          re[j * W + l] = sr + std::fma(cr, dr, -(ci * di));
+          im[j * W + l] = si + std::fma(cr, di, ci * dr);
         }
-        plan_zh_.inverse(z, ws.data());
       }
-      for (std::size_t j = 0; j < h; ++j)
-        for (std::size_t q = 0; q < batch; ++q) {
-          blk[2 * j * batch + q] = zall[q * h + j].real();
-          blk[(2 * j + 1) * batch + q] = zall[q * h + j].imag();
-        }
+      plan_zh_.transform_tile<W>(re.data(), im.data(), /*forward=*/false);
+      for (std::size_t j = 0; j < h; ++j) {
+        store_real(out, dst, 2 * j * batch, re.data() + j * W);
+        store_real(out, dst, (2 * j + 1) * batch, im.data() + j * W);
+      }
     }
   }
 }
 
-// Complex transform along y.  One (ix, kz) tile holds the batch chunks of a
-// whole y line: gather reads `batch` contiguous complexes per y index.
+// Complex transform along y.  Within one x plane the nzh·batch y lines are
+// adjacent in memory, element iy of each at stride nzh·batch.
 void Fft3d::pass_y(Complex* data, std::size_t batch, bool forward) const {
+  const std::size_t stride = nzh_ * batch;
+  const std::size_t chunks = (stride + W - 1) / W;
 #pragma omp parallel
   {
-    aligned_vector<Complex> tile(ny_ * batch), ws(plan_y_.workspace_size());
+    aligned_vector<double> re(ny_ * W), im(ny_ * W);
 #pragma omp for schedule(static)
-    for (std::size_t xz = 0; xz < nx_ * nzh_; ++xz) {
-      const std::size_t ix = xz / nzh_;
-      const std::size_t kz = xz % nzh_;
-      Complex* base = data + (ix * ny_ * nzh_ + kz) * batch;
-      const std::size_t stride = nzh_ * batch;
-      for (std::size_t iy = 0; iy < ny_; ++iy)
-        for (std::size_t q = 0; q < batch; ++q)
-          tile[q * ny_ + iy] = base[iy * stride + q];
-      for (std::size_t q = 0; q < batch; ++q) {
-        if (forward)
-          plan_y_.forward(tile.data() + q * ny_, ws.data());
-        else
-          plan_y_.inverse(tile.data() + q * ny_, ws.data());
-      }
-      for (std::size_t iy = 0; iy < ny_; ++iy)
-        for (std::size_t q = 0; q < batch; ++q)
-          base[iy * stride + q] = tile[q * ny_ + iy];
+    for (std::size_t c = 0; c < nx_ * chunks; ++c) {
+      const std::size_t ix = c / chunks, r0 = (c % chunks) * W;
+      transform_lines(plan_y_, data + ix * ny_ * stride + r0, stride,
+                      std::min(W, stride - r0), re.data(), im.data(), forward);
     }
   }
 }
 
-// Complex transform along x (stride ny·nzh·batch between x planes).
+// Complex transform along x: all ny·nzh·batch x lines are adjacent, element
+// ix of each at stride ny·nzh·batch.
 void Fft3d::pass_x(Complex* data, std::size_t batch, bool forward) const {
+  const std::size_t stride = ny_ * nzh_ * batch;
 #pragma omp parallel
   {
-    aligned_vector<Complex> tile(nx_ * batch), ws(plan_x_.workspace_size());
+    aligned_vector<double> re(nx_ * W), im(nx_ * W);
 #pragma omp for schedule(static)
-    for (std::size_t yz = 0; yz < ny_ * nzh_; ++yz) {
-      Complex* base = data + yz * batch;
-      const std::size_t stride = ny_ * nzh_ * batch;
-      for (std::size_t ix = 0; ix < nx_; ++ix)
-        for (std::size_t q = 0; q < batch; ++q)
-          tile[q * nx_ + ix] = base[ix * stride + q];
-      for (std::size_t q = 0; q < batch; ++q) {
-        if (forward)
-          plan_x_.forward(tile.data() + q * nx_, ws.data());
-        else
-          plan_x_.inverse(tile.data() + q * nx_, ws.data());
-      }
-      for (std::size_t ix = 0; ix < nx_; ++ix)
-        for (std::size_t q = 0; q < batch; ++q)
-          base[ix * stride + q] = tile[q * nx_ + ix];
-    }
+    for (std::size_t r0 = 0; r0 < stride; r0 += W)
+      transform_lines(plan_x_, data + r0, stride, std::min(W, stride - r0),
+                      re.data(), im.data(), forward);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/hwcounters.hpp"
 #include "obs/telemetry.hpp"
@@ -135,8 +136,10 @@ void PmeOperator::apply_recip(std::span<const double> f,
     HBD_TRACE_SCOPE("pme.recip.ifft");
     ScopedPhase t(&timers_, "ifft");
     HBD_PERF_SCOPE("ifft");
+    // spec_ is dead after this, so the destructive inverse saves the
+    // non-destructive one's spectrum copy.
     for (int c = 0; c < 3; ++c)
-      fft_.inverse(spec_[c].data(), mesh_[c].data());
+      fft_.inverse_batch(spec_[c].data(), mesh_[c].data(), 1);
   }
   HBD_COUNTER_ADD("pme.fft.inverse", 3);
   {
@@ -222,8 +225,6 @@ void PmeOperator::sample_recip_block(std::span<const double> noise, Matrix& u,
   HBD_TRACE_SCOPE("pme.wave_sample");
   ScopedPhase phase(&timers_, "wave_sample");
   HBD_PERF_SCOPE("wave_sample");
-  counts_.wave += 1;
-  counts_.wave_columns += s;
   const std::size_t b = 3 * s;
   {
     // Pack the per-component noise chunks into the interleaved batch
@@ -238,44 +239,71 @@ void PmeOperator::sample_recip_block(std::span<const double> noise, Matrix& u,
       }
     }
   }
+  project_wave_noise(u, accumulate);
+}
+
+void PmeOperator::sample_recip_block(Xoshiro256& rng, Matrix& u,
+                                     bool accumulate) {
+  const std::size_t s = u.cols();
+  const std::size_t nspec = fft_.complex_size();
+  HBD_CHECK(u.rows() == 3 * n_);
+  ensure_batch_capacity(s);
+  // One substream seed per component mesh, drawn sequentially from the
+  // wave stream (fixed consumption: 3s u64 per call); each component then
+  // draws its (re, im) pairs mode by mode straight into its interleaved
+  // slots — the same values, in the same order, as the explicit-noise
+  // overload's chunks, and bitwise identical for any thread count.
+  const std::size_t b = 3 * s;
+  std::vector<std::uint64_t> seeds(b);
+  for (auto& sd : seeds) sd = rng.next_u64();
+  HBD_TRACE_SCOPE("pme.wave_sample");
+  ScopedPhase phase(&timers_, "wave_sample");
+  HBD_PERF_SCOPE("wave_sample");
+  {
+    HBD_TRACE_SCOPE("pme.wave_sample.noise");
+    // Each thread owns a contiguous range of components and fills it one
+    // block of modes at a time, so its writes stay within a few cache-
+    // resident rows instead of striding over the whole spectrum.
+    constexpr std::size_t kModes = 256;
+#pragma omp parallel
+    {
+      const auto [m0, m1] = split_range(b, team_size(), thread_id());
+      std::vector<Xoshiro256> subs;
+      for (std::size_t m = m0; m < m1; ++m) subs.emplace_back(seeds[m]);
+      for (std::size_t t0 = 0; t0 < nspec; t0 += kModes) {
+        const std::size_t t1 = std::min(nspec, t0 + kModes);
+        for (std::size_t m = m0; m < m1; ++m) {
+          Xoshiro256& sub = subs[m - m0];
+          for (std::size_t t = t0; t < t1; ++t) {
+            const double re = sub.next_gaussian();
+            const double im = sub.next_gaussian();
+            batch_spec_[t * b + m] = Complex(re, im);
+          }
+        }
+      }
+    }
+  }
+  project_wave_noise(u, accumulate);
+}
+
+void PmeOperator::project_wave_noise(Matrix& u, bool accumulate) {
+  const std::size_t s = u.cols();
+  counts_.wave += 1;
+  counts_.wave_columns += s;
   {
     HBD_TRACE_SCOPE("pme.wave_sample.sqrt_influence");
     influence_.apply_sqrt_batch(batch_spec_.data(), s);
   }
   {
     HBD_TRACE_SCOPE("pme.wave_sample.ifft");
-    fft_.inverse_batch(batch_spec_.data(), batch_mesh_.data(), b);
+    fft_.inverse_batch(batch_spec_.data(), batch_mesh_.data(), 3 * s);
   }
-  HBD_COUNTER_ADD("pme.fft.inverse", b);
+  HBD_COUNTER_ADD("pme.fft.inverse", 3 * s);
   {
     HBD_TRACE_SCOPE("pme.wave_sample.interp");
     interp_.interpolate_block(batch_mesh_.data(), u, accumulate);
   }
   HBD_COUNTER_ADD("pme.interp.bytes", interp_traffic_bytes(s));
-}
-
-void PmeOperator::sample_recip_block(Xoshiro256& rng, Matrix& u,
-                                     bool accumulate) {
-  const std::size_t s = u.cols();
-  const std::size_t chunk = 2 * fft_.complex_size();
-  if (wave_noise_.size() < 3 * s * chunk) wave_noise_.resize(3 * s * chunk);
-  // One substream seed per component mesh, drawn sequentially from the
-  // wave stream (fixed consumption: 3s u64 per call), then each chunk
-  // fills independently — the noise is a pure function of the stream
-  // state, bitwise identical for any thread count.
-  std::vector<std::uint64_t> seeds(3 * s);
-  for (auto& sd : seeds) sd = rng.next_u64();
-  {
-    HBD_TRACE_SCOPE("pme.wave_sample.noise");
-    ScopedPhase phase(&timers_, "wave_sample");
-    HBD_PERF_SCOPE("wave_sample");
-#pragma omp parallel for schedule(static)
-    for (std::size_t m = 0; m < 3 * s; ++m) {
-      Xoshiro256 sub(seeds[m]);
-      fill_gaussian(sub, {wave_noise_.data() + m * chunk, chunk});
-    }
-  }
-  sample_recip_block({wave_noise_.data(), 3 * s * chunk}, u, accumulate);
 }
 
 void PmeOperator::apply_recip_block(const Matrix& f, Matrix& u) {
@@ -303,7 +331,6 @@ std::size_t PmeOperator::bytes() const {
   return 3 * m3 * sizeof(double) + 3 * fft_.complex_size() * sizeof(Complex) +
          batch_mesh_.size() * sizeof(double) +
          batch_spec_.size() * sizeof(Complex) + scratch_.size() * sizeof(double) +
-         wave_noise_.size() * sizeof(double) +
          interp_.bytes() + influence_.bytes() + real_.bytes() +
          real_.neighbors().bytes();
 }

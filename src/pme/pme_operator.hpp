@@ -157,8 +157,9 @@ class PmeOperator {
 
   /// Convenience overload drawing the noise from `rng`: 3s substream seeds
   /// are drawn sequentially (fixed consumption: 3s u64 per call), then each
-  /// component mesh fills in parallel from its own generator — bitwise
-  /// deterministic for any thread count.
+  /// component mesh fills in parallel from its own generator straight into
+  /// the batch spectrum — bitwise equal to the explicit-noise overload fed
+  /// the same substream draws, and deterministic for any thread count.
   void sample_recip_block(Xoshiro256& rng, Matrix& u, bool accumulate);
 
   /// Clamped-to-retained spectral mass of the wave-space sqrt application
@@ -204,6 +205,11 @@ class PmeOperator {
   /// added onto u (apply_block stacks it on the real-space part).
   void recip_block(const Matrix& f, Matrix& u, bool accumulate);
 
+  /// Tail of both sample_recip_block overloads: the unit noise already in
+  /// batch_spec_ is scaled by the sqrt influence, inverse-transformed, and
+  /// interpolated into u's s columns.
+  void project_wave_noise(Matrix& u, bool accumulate);
+
   /// Grows the persistent batch buffers to hold 3s meshes/spectra.
   void ensure_batch_capacity(std::size_t s);
 
@@ -233,10 +239,6 @@ class PmeOperator {
 
   // Scratch for the real-space accumulation in apply(), sized once.
   aligned_vector<double> scratch_;
-
-  // Wave-space sampling noise buffer (rng overload of sample_recip_block),
-  // lazily grown to the widest block seen.
-  aligned_vector<double> wave_noise_;
 
   PhaseTimers timers_;
   ApplyCounts counts_;

@@ -2,13 +2,17 @@
 // round trips, Parseval, and the 3-D r2c/c2r transforms.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
+#include "obs/flight.hpp"
 
 namespace hbd {
 namespace {
@@ -279,6 +283,104 @@ TEST_P(Fft3dBatch, BatchRoundTripIsNTimesIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Batches, Fft3dBatch,
                          ::testing::Values(1u, 2u, 3u, 6u, 12u));
+
+// ---- Golden outputs ----------------------------------------------------------
+//
+// FNV-1a hashes of forward_batch / inverse_batch outputs on fixed-seed
+// inputs, captured from the recursive mixed-radix implementation the
+// iterative kernel replaced.  The trajectory goldens depend on every bit of
+// these transforms, so any change to the FFT arithmetic (radix order,
+// twiddle values, the contraction of a complex product into FMAs) shows up
+// here first.  Never recapture them: a mismatch is a bug in the FFT.
+
+struct GoldenCase {
+  std::size_t nx, ny, nz, batch;
+  std::uint64_t forward_hash, inverse_hash;
+};
+
+struct GoldenHashes {
+  std::uint64_t forward, inverse;
+};
+
+GoldenHashes golden_hashes(const GoldenCase& g) {
+  Fft3d fft(g.nx, g.ny, g.nz);
+  std::vector<double> in(fft.real_size() * g.batch);
+  Xoshiro256 rng(1000 * g.nx + 100 * g.ny + 10 * g.nz + g.batch);
+  fill_gaussian(rng, in);
+  std::vector<Complex> spec(fft.complex_size() * g.batch);
+  fft.forward_batch(in.data(), spec.data(), g.batch);
+  GoldenHashes h{};
+  h.forward = obs::hash_doubles(
+      {reinterpret_cast<const double*>(spec.data()), 2 * spec.size()});
+  fft.inverse_batch(spec.data(), in.data(), g.batch);
+  h.inverse = obs::hash_doubles(in);
+  return h;
+}
+
+class Fft3dGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(Fft3dGolden, ReproducesCapturedOutputs) {
+  const GoldenCase& g = GetParam();
+  const GoldenHashes h = golden_hashes(g);
+  EXPECT_EQ(h.forward, g.forward_hash) << std::hex << "0x" << h.forward;
+  EXPECT_EQ(h.inverse, g.inverse_hash) << std::hex << "0x" << h.inverse;
+}
+
+// Batches 1, 3 and 12 on every grid (neither 3 nor 12 is a multiple of the
+// 8-line tile, so tiles straddle mesh points); 48 only at K = 48, which
+// keeps the sanitizer builds' memory small.
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, Fft3dGolden,
+    ::testing::Values(
+        GoldenCase{18, 18, 18, 1, 0x88299a0913201b3full,
+                   0x3762e675b4e10b56ull},
+        GoldenCase{18, 18, 18, 3, 0xf562f75f428b0b02ull,
+                   0x30399881f69eb4e1ull},
+        GoldenCase{18, 18, 18, 12, 0x5152485aded353caull,
+                   0x0dab934c69c6ab3eull},
+        GoldenCase{48, 48, 48, 1, 0xe7854914b58cb3c5ull,
+                   0xfc15831051292f31ull},
+        GoldenCase{48, 48, 48, 3, 0xf7c6abf16b1b75c8ull,
+                   0xba94fb183177990dull},
+        GoldenCase{48, 48, 48, 12, 0x1c9a71523ddc30ebull,
+                   0x9721708ec2273a5bull},
+        GoldenCase{48, 48, 48, 48, 0xe12ad6c9c7f3f023ull,
+                   0xef9d0f2c566a9e6bull},
+        GoldenCase{72, 72, 72, 1, 0x4304b4f82ce3a38eull,
+                   0x85bc63fa6b4a45cbull},
+        GoldenCase{72, 72, 72, 3, 0x1b45d69251841db3ull,
+                   0x070f5d6777fbfcacull},
+        GoldenCase{72, 72, 72, 12, 0xeea7527fab6ec853ull,
+                   0xb94a25c5289092acull},
+        GoldenCase{5, 9, 12, 1, 0xb091cb85fea58a8full,
+                   0x92e9d4fdbb7f3515ull},
+        GoldenCase{5, 9, 12, 3, 0x7af996ed61ea21b9ull,
+                   0x5c10a304090167aeull},
+        GoldenCase{5, 9, 12, 12, 0x911811d4f486ea74ull,
+                   0x5ef174c0d296cdfeull},
+        GoldenCase{6, 10, 8, 1, 0x7b1e3b1c778d342cull,
+                   0x3212a895bbf49ed8ull},
+        GoldenCase{6, 10, 8, 3, 0x8e7f32418ef820e9ull,
+                   0x9d2aad0f83bd1a9bull},
+        GoldenCase{6, 10, 8, 12, 0x99bc0885333ce594ull,
+                   0x1d6f5735f0b751daull}));
+
+TEST(Fft3dThreads, BatchOutputsIdenticalAcrossThreadCounts) {
+  const int saved = omp_get_max_threads();
+  for (const GoldenCase g : {GoldenCase{18, 18, 18, 12, 0, 0},
+                             GoldenCase{5, 9, 12, 3, 0, 0},
+                             GoldenCase{48, 48, 48, 3, 0, 0}}) {
+    omp_set_num_threads(1);
+    const GoldenHashes ref = golden_hashes(g);
+    for (int threads : {2, 4}) {
+      omp_set_num_threads(threads);
+      const GoldenHashes h = golden_hashes(g);
+      EXPECT_EQ(h.forward, ref.forward) << "threads=" << threads;
+      EXPECT_EQ(h.inverse, ref.inverse) << "threads=" << threads;
+    }
+  }
+  omp_set_num_threads(saved);
+}
 
 }  // namespace
 }  // namespace hbd

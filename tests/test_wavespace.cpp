@@ -263,6 +263,53 @@ TEST(WaveSpace, BitwiseDeterministicAcrossThreadCounts) {
 #endif
 }
 
+// The rng overload draws each component's substream straight into the batch
+// spectrum.  It must equal, bit for bit, the explicit-noise overload fed the
+// same substream draws, consume exactly 3s u64 of the wave stream, and not
+// depend on how the components are split over threads.
+TEST(WaveSpace, StreamedNoiseMatchesExplicitNoise) {
+  ParticleSystem system = small_system(64);
+  const PmeParams params =
+      choose_pme_params(system.box, system.radius, 1e-3);
+  std::vector<Vec3> pos;
+  system.wrapped_positions(pos);
+  PmeOperator pme(pos, system.box, system.radius, params);
+  const std::size_t dim = 3 * system.size(), s = 3;
+  const std::size_t chunk = pme.wave_noise_doubles() / 3;
+
+  Xoshiro256 replay(2024);
+  std::vector<double> noise(3 * s * chunk);
+  for (std::size_t m = 0; m < 3 * s; ++m) {
+    Xoshiro256 sub(replay.next_u64());
+    fill_gaussian(sub, {noise.data() + m * chunk, chunk});
+  }
+  Matrix expected(dim, s);
+  pme.sample_recip_block(std::span<const double>(noise), expected,
+                         /*accumulate=*/false);
+
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  const std::vector<int> thread_counts = {1, 2, 4};
+#else
+  const std::vector<int> thread_counts = {1};
+#endif
+  for (int threads : thread_counts) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    Xoshiro256 wave(2024);
+    Matrix streamed(dim, s);
+    pme.sample_recip_block(wave, streamed, /*accumulate=*/false);
+    for (std::size_t i = 0; i < dim * s; ++i)
+      ASSERT_EQ(streamed.data()[i], expected.data()[i])
+          << "threads=" << threads << " i=" << i;
+    EXPECT_EQ(wave.next_u64(), Xoshiro256(replay).next_u64());
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
 // Covariance probes are step-seeded: a wavespace trajectory must be
 // bitwise identical with probing on or off.
 TEST(WaveSpace, ProbesDoNotPerturbTrajectory) {
