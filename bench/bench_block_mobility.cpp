@@ -13,11 +13,8 @@
 
 #include "bench_common.hpp"
 #include "common/aligned.hpp"
-#include "common/neighbor_list.hpp"
-#include "core/backend.hpp"
 #include "linalg/dense_matrix.hpp"
 #include "obs/json.hpp"
-#include "pme/params.hpp"
 #include "pme/pme_operator.hpp"
 
 #ifdef _OPENMP
@@ -119,42 +116,6 @@ int main(int argc, char** argv) {
                   col_phases[ph] / bat_phases[ph]);
   }
 
-  // ---- Fidelity-tier arm: TEA vs block-Krylov Brownian sampling ----------
-  // The TierPolicy's headline trade (core/backend.hpp): the Geyer–Winter
-  // truncated-expansion sampler against the full-operator block Krylov
-  // sampler at the BD driver's λ = 16 block width, n = 4000 (the realspace
-  // bench's Krylov arm size).  Timed once per arm — the Krylov arm runs
-  // minutes at this size.  tea_ep is the same probe statistic TierPolicy
-  // validates online; the CI gate pins it under TEA's declared 5e-2.
-  const std::size_t tn = 4000;
-  const ParticleSystem tsys = benchmark_suspension(tn);
-  const auto twrapped = tsys.wrapped_positions();
-  const PmeParams tpp = choose_pme_params(tsys.box, tsys.radius, 1e-3);
-  KrylovConfig kcfg;
-  kcfg.tolerance = 1e-2;
-  auto nlist = std::make_shared<NeighborList>(tsys.box, tpp.rmax, tpp.skin);
-  auto krylov = make_mobility_backend(MobilityTier::pme_krylov, tn, tsys.box,
-                                      tsys.radius, tpp, kcfg, nlist);
-  krylov->rebuild(twrapped);
-  TeaBackend tea(tn, tsys.box, tsys.radius);
-  const double t_tea_setup = time_once([&] { tea.rebuild(twrapped); });
-
-  constexpr std::size_t kLambda = 16;
-  Xoshiro256 zrng(2024);
-  const Matrix z = gaussian_block(zrng, 3 * tn, kLambda);
-  Xoshiro256 wave = substream(2024, 1);
-  const double t_krylov_sample =
-      time_once([&] { (void)krylov->sample_block(z, 1.0, &wave); });
-  const double t_tea_sample =
-      time_once([&] { (void)tea.sample_block(z, 1.0, nullptr); });
-  const double tea_ep = measure_backend_error(tea, *krylov->pme());
-  std::printf("\ntier arm (n = %zu, s = %zu):\n", tn, kLambda);
-  std::printf("  krylov sample %10.4f s\n  tea sample    %10.4f s "
-              "(%.1fx, setup %.3f s amortized over lambda)\n"
-              "  tea e_p %.3e (declared %.0e)\n",
-              t_krylov_sample, t_tea_sample, t_krylov_sample / t_tea_sample,
-              t_tea_setup, tea_ep, tea.declared_ep());
-
   obs::BenchReport report;
   report.name = "block_mobility";
   report.n = n;
@@ -166,12 +127,6 @@ int main(int argc, char** argv) {
                               {"t_columnwise_s", r.t_columnwise},
                               {"t_batched_s", r.t_batched},
                               {"speedup", r.t_columnwise / r.t_batched}});
-  report.samples.push_back({{"tier_n", static_cast<double>(tn)},
-                            {"t_tea_setup_s", t_tea_setup},
-                            {"t_tea_sample_s", t_tea_sample},
-                            {"t_krylov_sample_s", t_krylov_sample},
-                            {"tea_speedup", t_krylov_sample / t_tea_sample},
-                            {"tea_ep", tea_ep}});
   if (!obs::write_json(json_path, report)) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
     return 1;

@@ -61,7 +61,7 @@ int main() {
                              /*krylov_tol=*/1e-2);
 
   // Fidelity tiers (docs/theory.md §13): HBD_TIER forces one of
-  // tea | pse_wavespace | pme_krylov | dense; HBD_ERROR_BUDGET=<ep> instead
+  // pse_wavespace | pme_krylov | dense; HBD_ERROR_BUDGET=<ep> instead
   // lets the TierPolicy route to the cheapest tier whose declared accuracy
   // fits the budget, validated online by the e_p health probes.
   if (const char* t = std::getenv("HBD_TIER"))

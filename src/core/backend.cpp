@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "common/error.hpp"
 #include "ewald/kernel.hpp"
-#include "ewald/rpy.hpp"
 #include "obs/telemetry.hpp"
 #include "pme/params.hpp"
 
@@ -15,7 +13,7 @@ namespace hbd {
 namespace {
 
 constexpr const char* kTierNames[kMobilityTierCount] = {
-    "tea", "pse_wavespace", "pme_krylov", "dense"};
+    "pse_wavespace", "pme_krylov", "dense"};
 
 /// Mean over columns of ‖got_c − expected_c‖₂/‖expected_c‖₂ — the same
 /// column statistic as the pme/validate e_p probe.
@@ -44,14 +42,12 @@ MobilityTier parse_mobility_tier(std::string_view name) {
   for (std::size_t t = 0; t < kMobilityTierCount; ++t)
     if (name == kTierNames[t]) return static_cast<MobilityTier>(t);
   HBD_CHECK_MSG(false, "unknown mobility tier \"" << std::string(name)
-                       << "\" (expected tea, pse_wavespace, pme_krylov, or "
-                          "dense)");
+                       << "\" (expected pse_wavespace, pme_krylov, or dense)");
   return MobilityTier::pme_krylov;  // unreachable
 }
 
 double tier_default_ep(MobilityTier tier) {
   switch (tier) {
-    case MobilityTier::tea: return kTeaDeclaredEp;
     case MobilityTier::pse_wavespace: return 1e-3;
     case MobilityTier::pme_krylov: return 1e-3;
     case MobilityTier::dense: return 1e-6;
@@ -169,135 +165,6 @@ Matrix PseWavespaceBackend::sample_block(const Matrix& z, double two_kbt_dt,
   // bias is what the covariance probe watches.
   HBD_GAUGE_SET("wavespace.clamped_fraction", pme_->wave_clamped_fraction());
   return d;
-}
-
-// ---- TeaBackend -------------------------------------------------------------
-
-TeaBackend::TeaBackend(std::size_t n, double box, double radius,
-                       double declared_ep)
-    : n_(n), box_(box), radius_(radius), declared_ep_(declared_ep) {
-  // Hasimoto-corrected periodic self mobility: the lattice sum of the RPY
-  // tensor evaluated at the particle itself, the value the Ewald diagonal
-  // converges to.
-  const double aL = radius_ / box_;
-  h_ = 1.0 - 2.837297 * aL +
-       (4.0 * std::numbers::pi / 3.0) * aL * aL * aL;
-  // Assembly tolerance: well under the declared truncation-expansion error
-  // so the budget is spent on the TEA square root, not on a sloppy D.  The
-  // min-image free-space RPY is NOT a valid shortcut here — the bare 1/r
-  // Oseen term is conditionally convergent and its minimum-image truncation
-  // carries an O(1) error against the periodic mobility.
-  eparams_ = ewald_params_for_tolerance(
-      box, radius, std::clamp(0.2 * declared_ep, 1e-6, 1e-2));
-  stats_.converged = true;
-}
-
-void TeaBackend::rebuild(std::span<const Vec3> wrapped) {
-  HBD_CHECK(wrapped.size() == n_);
-  HBD_TRACE_SCOPE("tea.rebuild");
-  const std::size_t d = 3 * n_;
-
-  // O(n²) pairwise direct Ewald assembly of the periodic RPY mobility at
-  // the loose tier tolerance.  The analytic Hasimoto h replaces the
-  // numerically summed self blocks (they agree to the assembly tolerance;
-  // the analytic value keeps diag(B Bᵀ) = h exact below).
-  Matrix m = ewald_mobility_dense(wrapped, box_, radius_, eparams_);
-  for (std::size_t i = 0; i < n_; ++i)
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t c = 0; c < 3; ++c)
-        m(3 * i + r, 3 * i + c) = r == c ? h_ : 0.0;
-
-  // Per-DOF squared off-diagonal row mass S_r = Σ_{l≠r} D_rl² and the
-  // signed off-diagonal total for the mean coupling ε̄.  Row-parallel with
-  // a sequential final reduction — deterministic for any thread count.
-  std::vector<double> s(d, 0.0);
-  std::vector<double> rowsum(d, 0.0);
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < d; ++r) {
-    const double* row = m.data() + r * d;
-    const std::size_t self = 3 * (r / 3);
-    double s2 = 0.0, s1 = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      if (c >= self && c < self + 3) continue;  // skip the self 3×3 block
-      s2 += row[c] * row[c];
-      s1 += row[c];
-    }
-    s[r] = s2;
-    rowsum[r] = s1;
-  }
-
-  // Geyer–Winter β from the normalized mean coupling ε̄ = ⟨D_il/D_ii⟩ over
-  // the N′(N′−1) off-diagonal entries (N′ = 3n): with
-  // x = (N′−1)ε̄² − (N′−2)ε̄, β = (1 − √(1−x))/x, → 1/2 as x → 0.
-  // 1−x < 0 means the mean coupling is too strong for the truncated
-  // expansion (dense suspensions); β is clamped at the x = 1 root and
-  // flagged — the e_p probe is the authority there (docs/theory.md §13).
-  const double np = static_cast<double>(d);
-  double total = 0.0;
-  for (std::size_t r = 0; r < d; ++r) total += rowsum[r];  // deterministic
-  const double pairs = np * (np - 1.0);
-  const double eps = n_ > 1 ? total / (h_ * pairs) : 0.0;
-  const double x = (np - 1.0) * eps * eps - (np - 2.0) * eps;
-  clamped_ = false;
-  if (std::abs(x) < 1e-12) {
-    beta_ = 0.5;
-  } else {
-    double disc = 1.0 - x;
-    if (disc < 0.0) {
-      disc = 0.0;
-      clamped_ = true;
-    }
-    beta_ = (1.0 - std::sqrt(disc)) / x;
-  }
-
-  // Per-DOF normalizers Ĉ_r = [1 + β² S_r / h²]^{-1/2}: with them the
-  // diagonal of the sampled covariance equals h·two_kbt_dt exactly.
-  c_.assign(d, 1.0);
-  const double b2h2 = beta_ * beta_ / (h_ * h_);
-  for (std::size_t r = 0; r < d; ++r)
-    c_[r] = 1.0 / std::sqrt(1.0 + b2h2 * s[r]);
-
-  d_.emplace(std::move(m));
-}
-
-void TeaBackend::apply(std::span<const double> f, std::span<double> u) {
-  HBD_TRACE_SCOPE("tea.apply");
-  d_->apply(f, u);
-}
-
-void TeaBackend::apply_block(const Matrix& f, Matrix& u) {
-  HBD_TRACE_SCOPE("tea.apply");
-  d_->apply_block(f, u);
-}
-
-Matrix TeaBackend::sample_block(const Matrix& z, double two_kbt_dt,
-                                Xoshiro256* /*wave_rng*/) {
-  HBD_TRACE_SCOPE("tea.sample");
-  const std::size_t d = 3 * n_, s = z.cols();
-  if (dz_.rows() != d || dz_.cols() != s) dz_.resize(d, s);
-  apply_block(z, dz_);  // D z, diagonal h included
-  Matrix y(d, s);
-  // y = Ĉ ∘ [(1−β)·h·z + β·D z] / √h — the Geyer–Winter corrected
-  // square-root surrogate; diag(B Bᵀ) = h exactly by the Ĉ normalization.
-  const double scale = std::sqrt(two_kbt_dt / h_);
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < d; ++r) {
-    const double cr = c_[r] * scale;
-    const double* zr = z.data() + r * s;
-    const double* dzr = dz_.data() + r * s;
-    double* yr = y.data() + r * s;
-    for (std::size_t c = 0; c < s; ++c)
-      yr[c] = cr * ((1.0 - beta_) * h_ * zr[c] + beta_ * dzr[c]);
-  }
-  stats_ = {};
-  stats_.converged = true;
-  return y;
-}
-
-std::size_t TeaBackend::bytes() const {
-  const std::size_t d = 3 * n_;
-  return (d_ ? d * d * sizeof(double) : 0) + c_.size() * sizeof(double) +
-         dz_.rows() * dz_.cols() * sizeof(double);
 }
 
 // ---- Probes -----------------------------------------------------------------
@@ -434,8 +301,6 @@ std::unique_ptr<MobilityBackend> make_mobility_backend(
   switch (tier) {
     case MobilityTier::dense:
       return std::make_unique<DenseCholeskyBackend>(n, box, radius, ep);
-    case MobilityTier::tea:
-      return std::make_unique<TeaBackend>(n, box, radius, ep);
     case MobilityTier::pme_krylov:
       validate_tier_params(tier, pme_params);
       HBD_CHECK_MSG(nlist != nullptr,

@@ -1,13 +1,9 @@
 // Fidelity-tiered mobility backends (the serving seam over the paper's
 // engines).  The paper's central trade (Tables II–III, Eq. 10) is accuracy
 // vs. cost: loosened tolerances buy 6–20× speedups.  MobilityBackend puts
-// one interface over the four ways this codebase can realize M̃·x and
+// one interface over the three ways this codebase can realize M̃·x and
 // M̃^{1/2}·Z, ordered coarse → fine:
 //
-//   * TeaBackend          — Geyer–Winter truncated-expansion approximation
-//     (arXiv:0801.3212): O(n²) pairwise Ewald-summed RPY with a β-corrected,
-//     diagonal-normalized square root — no Cholesky, no Krylov, no mesh
-//     (docs/theory.md §13);
 //   * PseWavespaceBackend — PME + PSE split sampling (far field drawn
 //     directly in wave space, Lanczos on the sparse near field);
 //   * PmeKrylovBackend    — PME + full-operator block Krylov (the paper's
@@ -25,7 +21,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "common/neighbor_list.hpp"
 #include "common/rng.hpp"
@@ -41,27 +36,22 @@ namespace hbd {
 /// Fidelity tiers in cost order (cheapest first).  The enum value doubles
 /// as the registry gauge encoding (`bd.tier`) and the stream-record field.
 enum class MobilityTier {
-  tea = 0,            ///< Geyer–Winter TEA, O(n²) pairwise, ~5e-2 error
-  pse_wavespace = 1,  ///< PME + wave-space split sampling
-  pme_krylov = 2,     ///< PME + full-operator block Krylov (default)
-  dense = 3,          ///< dense Ewald + Cholesky (premium reference)
+  pse_wavespace = 0,  ///< PME + wave-space split sampling
+  pme_krylov = 1,     ///< PME + full-operator block Krylov (default)
+  dense = 2,          ///< dense Ewald + Cholesky (premium reference)
 };
-inline constexpr std::size_t kMobilityTierCount = 4;
+inline constexpr std::size_t kMobilityTierCount = 3;
 
 const char* mobility_tier_name(MobilityTier tier);
-/// Parses "tea" / "pse_wavespace" / "pme_krylov" / "dense" (throws
+/// Parses "pse_wavespace" / "pme_krylov" / "dense" (throws
 /// hbd::Error on anything else) — the HBD_TIER / replay-bundle encoding.
 MobilityTier parse_mobility_tier(std::string_view name);
 
 /// Factory-default declared relative mobility error of a tier: what a
 /// backend built by make_mobility_backend with default parameters promises.
-/// TEA's bound is the min-image truncation residual after the Hasimoto
-/// diagonal correction (docs/theory.md §13); the PME tiers inherit the
-/// parameter chooser's e_p target; dense inherits its Ewald tolerance.
+/// The PME tiers inherit the parameter chooser's e_p target; dense inherits
+/// its Ewald tolerance.
 double tier_default_ep(MobilityTier tier);
-
-/// TEA's declared relative mobility error (the bench gate bound).
-inline constexpr double kTeaDeclaredEp = 5e-2;
 
 /// A caller's accuracy requirement: the largest relative mobility error
 /// e_p = ‖u − u_exact‖/‖u_exact‖ the run is willing to accept.
@@ -107,8 +97,8 @@ class MobilityBackend {
   /// Resident bytes of the mobility representation.
   virtual std::size_t bytes() const = 0;
 
-  /// The underlying PME operator (null for the TEA and dense tiers — the
-  /// drift audit and wave gauges guard on this).
+  /// The underlying PME operator (null for the dense tier — the drift
+  /// audit and wave gauges guard on this).
   virtual PmeOperator* pme() { return nullptr; }
 
   /// The relative mobility error this backend's configuration declares;
@@ -192,56 +182,6 @@ class PseWavespaceBackend final : public PmeBackendBase {
   MobilityTier tier() const override { return MobilityTier::pse_wavespace; }
   Matrix sample_block(const Matrix& z, double two_kbt_dt,
                       Xoshiro256* wave_rng) override;
-};
-
-/// Geyer–Winter truncated-expansion approximation (arXiv:0801.3212) over
-/// the periodic Ewald-summed RPY tensor: rebuild assembles D pairwise (a
-/// loose-tolerance direct Ewald sum — min-image truncation of the bare
-/// 1/r Oseen term has O(1) error, so the lattice sum is NOT optional) with
-/// the analytic Hasimoto diagonal D_ii = h·I,
-/// h = 1 − 2.837297(a/L) + (4π/3)(a/L)³ (docs/theory.md §13).
-/// Sampling is a single O(n²) dense apply:
-///
-///   y = Ĉ ∘ [(1−β)·h·z + β·D z] / √h,
-///   Ĉ_i = [1 + β² S_i / h²]^{-1/2},  S_i = Σ_{l≠i} D_il²,
-///
-/// with β the Geyer–Winter root of the normalized mean coupling ε̄ — the
-/// diagonal of the sampled covariance equals h exactly by construction,
-/// and no factorization or iteration is ever performed.
-class TeaBackend final : public MobilityBackend {
- public:
-  TeaBackend(std::size_t n, double box, double radius,
-             double declared_ep = kTeaDeclaredEp);
-
-  MobilityTier tier() const override { return MobilityTier::tea; }
-  std::size_t dim() const override { return 3 * n_; }
-  void rebuild(std::span<const Vec3> wrapped) override;
-  void apply(std::span<const double> f, std::span<double> u) override;
-  void apply_block(const Matrix& f, Matrix& u) override;
-  Matrix sample_block(const Matrix& z, double two_kbt_dt,
-                      Xoshiro256* wave_rng) override;
-  std::size_t bytes() const override;
-  double declared_ep() const override { return declared_ep_; }
-
-  /// Hasimoto-corrected periodic self mobility h (the TEA diagonal).
-  double hasimoto() const { return h_; }
-  /// The Geyer–Winter β of the last rebuild (→ 1/2 at weak coupling).
-  double beta() const { return beta_; }
-  /// True when 1 − x went negative in the β root (dense suspensions where
-  /// the truncated expansion breaks down; β is clamped to 1/x and the e_p
-  /// probe is the authority — docs/theory.md §13).
-  bool beta_clamped() const { return clamped_; }
-
- private:
-  std::size_t n_;
-  double box_, radius_, declared_ep_;
-  double h_ = 1.0;
-  double beta_ = 0.5;
-  bool clamped_ = false;
-  EwaldParams eparams_;  // loose-tolerance direct-Ewald assembly params
-  std::optional<DenseMobility> d_;  // assembled periodic RPY mobility
-  std::vector<double> c_;  // per-index TEA normalizers Ĉ (3n)
-  Matrix dz_;              // D·z scratch for sample_block
 };
 
 /// e_p of a backend measured against a live high-resolution PME reference

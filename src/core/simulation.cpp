@@ -255,12 +255,15 @@ obs::RunManifest MatrixFreeBdSimulation::manifest() const {
   m.skin = nlist_ ? nlist_->skin() : pme_params_.skin;
   m.skin_auto = pme_params_.auto_skin;
   m.precision = precision_name(pme_params_.precision);
-  // 1.0 until the operator exists (every row colored / no hybrid split).
-  const PmeOperator* op = pme();
-  m.colored_fraction = op ? op->realspace().colored_fraction() : 1.0;
-  m.brownian_method = brownian_method_name(pme_params_.brownian);
+  // The sampler that actually runs: a forced dense tier keeps the native
+  // PmeParams (its brownian field still names the PME route) but samples
+  // by Cholesky, like EwaldBdSimulation.
+  const MobilityTier active = backend_ ? tier() : native_tier_;
+  m.brownian_method = active == MobilityTier::dense
+                          ? "cholesky"
+                          : brownian_method_name(pme_params_.brownian);
   m.ewald_kernel = ewald_kernel_name(pme_params_.kernel);
-  m.mobility_tier = mobility_tier_name(backend_ ? tier() : native_tier_);
+  m.mobility_tier = mobility_tier_name(active);
   m.tier_switches = tier_switches_;
   m.error_budget = error_budget_;
   m.rng_stream_trajectory = kTrajectoryStream;
@@ -344,8 +347,6 @@ void MatrixFreeBdSimulation::route_tier() {
   // folds measured per-phase scales into effective_hardware when
   // auto-recalibration is on); declared accuracies are the tier defaults.
   const TierPolicy::Candidate cands[kMobilityTierCount] = {
-      {MobilityTier::tea, tier_default_ep(MobilityTier::tea),
-       model_tea_step(host, n, config_.lambda_rpy)},
       {MobilityTier::pse_wavespace,
        tier_default_ep(MobilityTier::pse_wavespace),
        model_bd_step(host, {}, n, system_.box, pme_params_.order, 1e-3,
@@ -385,7 +386,7 @@ void MatrixFreeBdSimulation::swap_backend(MobilityTier t) {
                                      system_.radius, pme_params_,
                                      krylov_config_, nlist_);
   } else {
-    // tea/dense need no PME operator; the existing list keeps serving the
+    // dense needs no PME operator; the existing list keeps serving the
     // steric forces at the native cutoff.
     backend_ = make_mobility_backend(t, system_.size(), system_.box,
                                      system_.radius, pme_params_,
@@ -534,7 +535,7 @@ void MatrixFreeBdSimulation::observe_step(double wall_seconds) {
     rec.step = steps_ - 1;
     rec.wall_seconds = wall_seconds;
     // Per-step phase seconds: deltas of the operator's cumulative timers
-    // (PME tiers only — tea/dense have no phase pipeline).
+    // (PME tiers only — dense has no phase pipeline).
     if (PmeOperator* op = pme()) {
       const auto totals = op->timers().totals();
       for (std::size_t p = 0; p < obs::kStreamPhases; ++p) {
@@ -606,7 +607,7 @@ void MatrixFreeBdSimulation::snapshot_flight() {
   flight_->snapshot(std::move(snap));
   flight_->set_replay(replay_config());
   // Refresh the process-wide manifest so the bundle's copy carries the
-  // live skin / colored-fraction values at anchor time.
+  // live skin at anchor time.
   obs::run_manifest() = manifest();
 }
 
@@ -646,8 +647,6 @@ obs::ReplayConfig MatrixFreeBdSimulation::replay_config() const {
   num("mesh", static_cast<double>(pme_params_.mesh));
   num("order", pme_params_.order);
   num("lambda_rpy", static_cast<double>(config_.lambda_rpy));
-  num("sym_degree_threshold",
-      static_cast<double>(pme_params_.sym_degree_threshold));
   num("precompute_interp", pme_params_.precompute_interp ? 1.0 : 0.0);
   num("partial_rebuilds", pme_params_.partial_rebuilds ? 1.0 : 0.0);
   // Force-field reconstruction (replay refuses unknown types).
@@ -687,7 +686,7 @@ void MatrixFreeBdSimulation::audit_drift() {
   // audit against.
   if constexpr (!obs::kEnabled) return;
   PmeOperator* op = pme();
-  if (!op) return;  // tea/dense tiers have no phase pipeline to audit
+  if (!op) return;  // the dense tier has no phase pipeline to audit
   const std::size_t n = system_.size();
   const auto totals = op->timers().totals();
   const PmeOperator::ApplyCounts counts = op->apply_counts();

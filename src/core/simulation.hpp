@@ -108,7 +108,7 @@ class MatrixFreeBdSimulation {
   /// BrownianMethod::wavespace these are the near-field-only Lanczos
   /// iterations of the split sampler).
   const KrylovStats& last_krylov_stats() const { return krylov_stats_; }
-  /// The current PME operator (null for tiers without one, e.g. tea).
+  /// The current PME operator (null on the meshless dense tier).
   PmeOperator* pme() { return backend_ ? backend_->pme() : nullptr; }
   const PmeOperator* pme() const { return backend_ ? backend_->pme() : nullptr; }
   /// The simulation-owned neighbor list shared by the real-space assembly
@@ -237,7 +237,7 @@ class MatrixFreeBdSimulation {
   /// recorder; called at the top of every rebuild, before sampling.
   void snapshot_flight();
   void rebuild();
-  /// TierPolicy hook at the top of rebuild(): scores all four tiers with
+  /// TierPolicy hook at the top of rebuild(): scores all three tiers with
   /// the recalibrated perf model and swaps the backend when the policy
   /// picks a different one.  No-op without a policy or with a forced tier.
   void route_tier();

@@ -261,26 +261,6 @@ double PmePerfModel::t_cholesky(std::size_t n) const {
   return flops / (0.5 * hw_.peak_dp_gflops * 1e9);
 }
 
-double PmePerfModel::t_tea_apply(std::size_t n, std::size_t s) const {
-  // Dense GEMM against the assembled (3n)² periodic mobility: one matrix
-  // sweep per block apply (the s columns ride in cache), bandwidth-bound,
-  // plus the 2-flops-per-entry-per-column compute floor.
-  const double d = 3.0 * static_cast<double>(n);
-  const double t_mem = d * d * 8.0 / (hw_.stream_bw_gbs * 1e9);
-  const double t_flop = d * d * 2.0 * static_cast<double>(s) /
-                        (0.5 * hw_.peak_dp_gflops * 1e9);
-  return t_mem > t_flop ? t_mem : t_flop;
-}
-
-double PmePerfModel::t_tea_setup(std::size_t n) const {
-  // Pairwise direct-Ewald assembly of D at the loose TEA tolerance plus
-  // the S_r/ε̄ row sweep: ~3× fewer lattice/reciprocal terms than the
-  // production-tolerance dense assembly (kmax shrinks with √log(1/tol)).
-  const double pairs = static_cast<double>(n) * static_cast<double>(n);
-  const double flops = pairs * 200.0 * 15.0;
-  return flops / (0.5 * hw_.peak_dp_gflops * 1e9);
-}
-
 double PmePerfModel::t_dense_apply(std::size_t n) const {
   const double d = 3.0 * static_cast<double>(n);
   return d * d * 8.0 / (hw_.stream_bw_gbs * 1e9);

@@ -178,13 +178,6 @@ class PmePerfModel {
   double t_cholesky(std::size_t n) const;
 
   // --- Fidelity-tier terms (core/backend.hpp's TierPolicy) ----------------
-  /// TEA tier (Geyer–Winter, arXiv:0801.3212): one dense sweep of the
-  /// assembled (3n)² periodic mobility applying the truncated-expansion
-  /// square root to a width-s block — max(matrix traffic, 2-flop floor).
-  double t_tea_apply(std::size_t n, std::size_t s) const;
-  /// TEA per-mobility-update setup: O(n²) pairwise direct-Ewald assembly
-  /// of D at the loose tier tolerance plus the S_r/ε̄/β row sweep.
-  double t_tea_setup(std::size_t n) const;
   /// Dense tier: one 3n×3n GEMV over STREAM bandwidth (the matrix streams
   /// once; triangular solves of the Cholesky sampler stream half of it).
   double t_dense_apply(std::size_t n) const;

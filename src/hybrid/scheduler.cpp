@@ -266,13 +266,6 @@ BdStepModel model_bd_step(const Device& host,
   return out;
 }
 
-double model_tea_step(const Device& host, std::size_t n, std::size_t lambda) {
-  const double lam = static_cast<double>(lambda < 1 ? 1 : lambda);
-  return host.model.t_tea_apply(n, 1) +
-         (host.model.t_tea_setup(n) + host.model.t_tea_apply(n, lambda)) /
-             lam;
-}
-
 double model_dense_step(const Device& host, std::size_t n,
                         std::size_t lambda) {
   const double lam = static_cast<double>(lambda < 1 ? 1 : lambda);

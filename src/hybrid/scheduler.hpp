@@ -129,11 +129,6 @@ BdStepModel model_bd_step(const Device& host,
                           bool wavespace = false,
                           int nearfield_iterations = 0);
 
-/// Modeled per-step cost of the TEA tier (core/backend.hpp's TeaBackend):
-/// one O(n²) single-vector apply per step plus the amortized setup sweep
-/// and the width-λ sampling apply per mobility update.
-double model_tea_step(const Device& host, std::size_t n, std::size_t lambda);
-
 /// Modeled per-step cost of the dense Cholesky tier: one 3n×3n GEMV per
 /// step plus the amortized Ewald assembly, Cholesky factorization, and the
 /// width-λ triangular sampling solves per mobility update.

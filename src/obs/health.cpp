@@ -104,7 +104,6 @@ void RunManifest::write_json(JsonWriter& w) const {
   w.key("skin_auto");
   w.value(skin_auto);
   w.field("precision", precision);
-  w.field("colored_fraction", colored_fraction);
   w.field("brownian_method", brownian_method);
   w.field("ewald_kernel", ewald_kernel);
   w.end_object();

@@ -119,17 +119,14 @@ struct RunManifest {
   /// Storage precision of the near-field values / interpolation weights
   /// ("fp64" or "fp32"; accumulation is FP64 either way).
   std::string precision = "fp64";
-  /// Mean fraction of rows under the colored symmetric schedule (1 unless
-  /// the hybrid degree threshold routed low-degree rows to the dup pass).
-  double colored_fraction = 1.0;
   /// Brownian sampling route: "krylov" (full-operator block Lanczos),
   /// "wavespace" (PSE split sampler), or "cholesky" (dense Ewald driver).
   std::string brownian_method = "krylov";
   /// Ewald split of the PME operator: "beenakker" (default) or the
   /// positively-split "pse" kernel the wavespace sampler requires.
   std::string ewald_kernel = "beenakker";
-  /// Active mobility fidelity tier (core/backend.hpp): "tea",
-  /// "pse_wavespace", "pme_krylov", or "dense".
+  /// Active mobility fidelity tier (core/backend.hpp): "pse_wavespace",
+  /// "pme_krylov", or "dense".
   std::string mobility_tier = "pme_krylov";
   /// Backend swaps performed so far (forced or TierPolicy-driven).
   std::uint64_t tier_switches = 0;

@@ -21,14 +21,10 @@ PmeOperator::PmeOperator(std::span<const Vec3> pos, double box, double radius,
       params_(params),
       real_(neighbors ? RealspaceOperator(box, radius, params.xi, params.rmax,
                                           std::move(neighbors), params.storage,
-                                          params.precision,
-                                          params.sym_degree_threshold,
-                                          params.kernel)
+                                          params.precision, params.kernel)
                       : RealspaceOperator(box, radius, params.xi, params.rmax,
                                           params.skin, params.storage,
-                                          params.precision,
-                                          params.sym_degree_threshold,
-                                          params.kernel)),
+                                          params.precision, params.kernel)),
       interp_(pos, box, params.mesh, params.order, params.precompute_interp,
               params.interp, params.precision),
       influence_(params.mesh, box, radius, params.xi, params.order,

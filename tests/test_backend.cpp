@@ -1,12 +1,11 @@
-// MobilityBackend layer (core/backend.hpp): the TEA truncated-expansion
-// tier's accuracy and covariance guarantees, bitwise preservation of the
+// MobilityBackend layer (core/backend.hpp): bitwise preservation of the
 // historical krylov/wavespace/dense paths through the backend refactor,
-// forced-tier overrides, TierPolicy hysteresis, the factory's kernel/method
-// pairing enforcement, and the v3 checkpoint tier fields.
+// forced-tier overrides and their manifest, TierPolicy hysteresis, the
+// factory's kernel/method pairing enforcement, and the v3 checkpoint tier
+// fields.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -20,8 +19,8 @@
 #include "core/simulation.hpp"
 #include "core/system.hpp"
 #include "obs/flight.hpp"
+#include "obs/stream.hpp"
 #include "pme/params.hpp"
-#include "pme/validate.hpp"
 
 using namespace hbd;
 
@@ -63,77 +62,6 @@ TEST(Backend, TierNamesRoundTrip) {
   EXPECT_THROW(parse_mobility_tier("cholesky"), Error);
 }
 
-// ---- TEA accuracy -----------------------------------------------------------
-
-TEST(TeaBackend, ErrorWithinDeclaredBudget) {
-  // The e_p probe statistic of the TEA apply against a high-resolution
-  // periodic reference must fit the tier's declared accuracy — the same
-  // online check TierPolicy uses to validate a routed TEA tier.
-  ParticleSystem sys = golden_system(48);
-  const std::vector<Vec3> wrapped = wrapped_of(sys);
-  TeaBackend tea(sys.size(), sys.box, sys.radius);
-  tea.rebuild(wrapped);
-  PmeOperator ref(wrapped, sys.box, sys.radius,
-                  reference_pme_params(sys.box, sys.radius));
-  const double ep = measure_backend_error(tea, ref, /*samples=*/8,
-                                          /*seed=*/123);
-  EXPECT_GT(ep, 0.0);
-  EXPECT_LT(ep, tea.declared_ep());
-}
-
-TEST(TeaBackend, BetaAndHasimotoSane) {
-  ParticleSystem sys = golden_system(32);
-  TeaBackend tea(sys.size(), sys.box, sys.radius);
-  tea.rebuild(wrapped_of(sys));
-  // Hasimoto-corrected self mobility: below 1, near 1 - 2.837297 a/L.
-  const double h_expect =
-      1.0 - 2.837297 / sys.box +
-      4.0 * std::numbers::pi / 3.0 / (sys.box * sys.box * sys.box);
-  EXPECT_NEAR(tea.hasimoto(), h_expect, 1e-12);
-  // β solves the quadratic around 1/2 for small coupling ε̄.
-  EXPECT_GT(tea.beta(), 0.0);
-  EXPECT_LT(tea.beta(), 1.0);
-  EXPECT_FALSE(tea.beta_clamped());
-}
-
-TEST(TeaBackend, SampleCovarianceDiagonalExact) {
-  // Geyer–Winter's Ĉ normalization makes diag(B Bᵀ) = h exactly: applying
-  // the sampler to the identity block and summing squared rows must give
-  // two_kbt_dt·h per coordinate to rounding.
-  ParticleSystem sys = golden_system(24);
-  const std::size_t d = 3 * sys.size();
-  TeaBackend tea(sys.size(), sys.box, sys.radius);
-  tea.rebuild(wrapped_of(sys));
-  Matrix z(d, d);
-  for (std::size_t i = 0; i < d; ++i) z(i, i) = 1.0;
-  const double two_kbt_dt = 2.0 * 1e-3;
-  const Matrix y = tea.sample_block(z, two_kbt_dt, nullptr);
-  for (std::size_t r = 0; r < d; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < d; ++c) sum += y(r, c) * y(r, c);
-    EXPECT_NEAR(sum, two_kbt_dt * tea.hasimoto(), 1e-12 * two_kbt_dt)
-        << "row " << r;
-  }
-}
-
-TEST(TeaBackend, ApplyMatchesApplyBlock) {
-  ParticleSystem sys = golden_system(16);
-  const std::size_t d = 3 * sys.size();
-  TeaBackend tea(sys.size(), sys.box, sys.radius);
-  tea.rebuild(wrapped_of(sys));
-  Xoshiro256 rng(5);
-  std::vector<double> x(d), y(d);
-  for (double& v : x) v = rng.next_gaussian();
-  Matrix xb(d, 1), yb(d, 1);
-  for (std::size_t i = 0; i < d; ++i) xb(i, 0) = x[i];
-  tea.apply(x, y);
-  tea.apply_block(xb, yb);
-  // gemv and gemm accumulate in different orders: last-ulp agreement, not
-  // bitwise identity, is the contract between the two entry points.
-  for (std::size_t i = 0; i < d; ++i)
-    EXPECT_NEAR(y[i], yb(i, 0), 1e-12 * std::abs(y[i]) + 1e-15);
-}
-
 // ---- Bitwise preservation of the historical paths ---------------------------
 //
 // Golden hashes captured on the pre-refactor drivers (PR 9): the backend
@@ -170,22 +98,38 @@ TEST(BackendGolden, DenseTrajectoryBitwise) {
 
 // ---- Forced tier overrides --------------------------------------------------
 
-TEST(BackendTier, ForcedTeaRunsWithoutPme) {
+TEST(BackendTier, ForcedDenseRunsWithoutPme) {
+  // dense is the meshless tier: stepping, the drift audit, the stream hook
+  // and the roofline export must all cope with pme() == nullptr.
   ParticleSystem sys = golden_system(32);
   const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);
   auto forces = std::make_shared<RepulsiveHarmonic>(1.0);
   MatrixFreeBdSimulation sim(std::move(sys), forces, golden_config(), pme,
                              1e-2);
   EXPECT_EQ(sim.tier(), MobilityTier::pme_krylov);
-  sim.set_tier(MobilityTier::tea);
-  EXPECT_EQ(sim.tier(), MobilityTier::tea);
+  sim.set_tier(MobilityTier::dense);
+  EXPECT_EQ(sim.tier(), MobilityTier::dense);
   EXPECT_EQ(sim.tier_switches(), 1u);
   EXPECT_EQ(sim.pme(), nullptr);
+  const auto tmp = std::filesystem::temp_directory_path();
+  const std::string stream_path = (tmp / "hbd_dense_stream.ndjson").string();
+  const std::string roof_path = (tmp / "hbd_dense_roofline.json").string();
+  if constexpr (obs::kEnabled) {
+    obs::StreamWriter::Options opts;
+    opts.path = stream_path;
+    opts.interval = 2;
+    sim.enable_stream(opts);
+  }
   sim.step(6);
   for (const Vec3& p : sim.system().positions) {
     EXPECT_TRUE(std::isfinite(p.x));
     EXPECT_TRUE(std::isfinite(p.y));
     EXPECT_TRUE(std::isfinite(p.z));
+  }
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(sim.stream()->pushed(), 6u);
+    EXPECT_TRUE(sim.write_roofline_json(roof_path));
+    std::filesystem::remove(roof_path);
   }
   // Mid-run switch back to the native tier restores the PME operator.
   sim.set_tier(MobilityTier::pme_krylov);
@@ -194,6 +138,66 @@ TEST(BackendTier, ForcedTeaRunsWithoutPme) {
   EXPECT_NE(sim.pme(), nullptr);
   EXPECT_EQ(sim.manifest().mobility_tier, "pme_krylov");
   EXPECT_EQ(sim.manifest().tier_switches, 2u);
+  if constexpr (obs::kEnabled) {
+    sim.stream()->stop();
+    std::filesystem::remove(stream_path);
+  }
+}
+
+TEST(BackendTier, NonNativePmeRoundTripRestoresParams) {
+  // Returning to the native tier restores the caller's configuration bit
+  // for bit, including fields the tier's own chooser would set otherwise.
+  ParticleSystem sys = golden_system(32);
+  PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);
+  pme.skin = 0.4;
+  pme.storage = NearFieldStorage::symmetric;
+  pme.precompute_interp = false;
+  auto forces = std::make_shared<RepulsiveHarmonic>(1.0);
+  MatrixFreeBdSimulation sim(std::move(sys), forces, golden_config(), pme,
+                             1e-2);
+  sim.set_tier(MobilityTier::pse_wavespace);
+  sim.step(2);
+  ASSERT_NE(sim.pme(), nullptr);
+  EXPECT_EQ(sim.pme()->params().brownian, BrownianMethod::wavespace);
+  sim.set_tier(MobilityTier::pme_krylov);
+  sim.step(2);
+  EXPECT_EQ(sim.tier_switches(), 2u);
+  ASSERT_NE(sim.pme(), nullptr);
+  const PmeParams& p = sim.pme()->params();
+  EXPECT_EQ(p.mesh, pme.mesh);
+  EXPECT_EQ(p.order, pme.order);
+  EXPECT_EQ(p.rmax, pme.rmax);
+  EXPECT_EQ(p.xi, pme.xi);
+  EXPECT_EQ(p.skin, pme.skin);
+  EXPECT_EQ(p.precompute_interp, pme.precompute_interp);
+  EXPECT_EQ(p.interp, pme.interp);
+  EXPECT_EQ(p.storage, pme.storage);
+  EXPECT_EQ(p.partial_rebuilds, pme.partial_rebuilds);
+  EXPECT_EQ(p.auto_skin, pme.auto_skin);
+  EXPECT_EQ(p.auto_skin_interval, pme.auto_skin_interval);
+  EXPECT_EQ(p.precision, pme.precision);
+  EXPECT_EQ(p.brownian, pme.brownian);
+  EXPECT_EQ(p.kernel, pme.kernel);
+  EXPECT_EQ(sim.neighbor_list().cutoff(), pme.rmax);
+}
+
+TEST(BackendTier, ManifestNamesTheActiveSampler) {
+  // brownian_method follows the tier that actually samples, not the
+  // native PmeParams: a forced dense tier samples by Cholesky, exactly as
+  // EwaldBdSimulation reports.
+  ParticleSystem sys = golden_system(16);
+  const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);
+  MatrixFreeBdSimulation sim(std::move(sys), nullptr, golden_config(), pme,
+                             1e-2);
+  EXPECT_EQ(sim.manifest().brownian_method, "krylov");
+  sim.set_tier(MobilityTier::pse_wavespace);
+  EXPECT_EQ(sim.manifest().brownian_method, "wavespace");
+  sim.set_tier(MobilityTier::dense);
+  EXPECT_EQ(sim.manifest().brownian_method, "cholesky");
+  sim.set_tier(MobilityTier::pme_krylov);
+  EXPECT_EQ(sim.manifest().brownian_method, "krylov");
+  EwaldBdSimulation dense(golden_system(8), nullptr, golden_config());
+  EXPECT_EQ(dense.manifest().brownian_method, "cholesky");
 }
 
 TEST(BackendTier, ForcingNativeTierIsNoop) {
@@ -210,10 +214,9 @@ TEST(BackendTier, ForcingNativeTierIsNoop) {
 namespace {
 
 std::vector<TierPolicy::Candidate> default_candidates() {
-  // Costs ordered tea < wavespace < krylov < dense, accuracies the tier
-  // defaults — the generic large-n landscape.
+  // Costs ordered wavespace < krylov < dense, accuracies the tier defaults
+  // — the generic large-n landscape.
   return {
-      {MobilityTier::tea, tier_default_ep(MobilityTier::tea), 1.0},
       {MobilityTier::pse_wavespace,
        tier_default_ep(MobilityTier::pse_wavespace), 5.0},
       {MobilityTier::pme_krylov, tier_default_ep(MobilityTier::pme_krylov),
@@ -226,9 +229,12 @@ std::vector<TierPolicy::Candidate> default_candidates() {
 
 TEST(TierPolicy, PicksCheapestWithinBudget) {
   TierPolicy loose(ErrorBudget{1e-1});
-  EXPECT_EQ(loose.choose(default_candidates()), MobilityTier::tea);
+  EXPECT_EQ(loose.choose(default_candidates()), MobilityTier::pse_wavespace);
+  // Cost, not list order, decides among the tiers that fit.
+  auto cands = default_candidates();
+  cands[1].cost = 1.0;
   TierPolicy mid(ErrorBudget{1e-3});
-  EXPECT_EQ(mid.choose(default_candidates()), MobilityTier::pse_wavespace);
+  EXPECT_EQ(mid.choose(cands), MobilityTier::pme_krylov);
   TierPolicy tight(ErrorBudget{1e-6});
   EXPECT_EQ(tight.choose(default_candidates()), MobilityTier::dense);
 }
@@ -239,21 +245,20 @@ TEST(TierPolicy, InfeasibleBudgetFallsBackToFinest) {
 }
 
 TEST(TierPolicy, ProbeViolationBarsAndPromotes) {
-  TierPolicy policy(ErrorBudget{1e-1});
-  ASSERT_EQ(policy.choose(default_candidates()), MobilityTier::tea);
+  TierPolicy policy(ErrorBudget{1e-3});
+  ASSERT_EQ(policy.choose(default_candidates()), MobilityTier::pse_wavespace);
   // Probed e_p blows the budget: the tier is barred permanently and the
   // next routing point promotes past it.
-  EXPECT_TRUE(policy.record_probe(MobilityTier::tea, 0.2));
-  EXPECT_TRUE(policy.barred(MobilityTier::tea));
-  EXPECT_EQ(policy.choose(default_candidates()), MobilityTier::pse_wavespace);
+  EXPECT_TRUE(policy.record_probe(MobilityTier::pse_wavespace, 2e-3));
+  EXPECT_TRUE(policy.barred(MobilityTier::pse_wavespace));
+  EXPECT_EQ(policy.choose(default_candidates()), MobilityTier::pme_krylov);
   // No ping-pong: the barred tier is never chosen again, however many
   // routing points pass.
   for (int i = 0; i < 10; ++i)
-    EXPECT_EQ(policy.choose(default_candidates()),
-              MobilityTier::pse_wavespace);
+    EXPECT_EQ(policy.choose(default_candidates()), MobilityTier::pme_krylov);
   // A healthy probe of the new tier changes nothing.
-  EXPECT_FALSE(policy.record_probe(MobilityTier::pse_wavespace, 1e-3));
-  EXPECT_EQ(policy.choose(default_candidates()), MobilityTier::pse_wavespace);
+  EXPECT_FALSE(policy.record_probe(MobilityTier::pme_krylov, 5e-4));
+  EXPECT_EQ(policy.choose(default_candidates()), MobilityTier::pme_krylov);
 }
 
 TEST(TierPolicy, DemotionRequiresDwell) {
@@ -268,35 +273,41 @@ TEST(TierPolicy, DemotionRequiresDwell) {
   auto cands = default_candidates();
   ASSERT_EQ(policy.choose(cands), MobilityTier::pse_wavespace);
   // Make krylov cheaper than wavespace: a lateral/demote move.
-  cands[2].cost = 0.5;
+  cands[1].cost = 0.5;
   EXPECT_EQ(policy.choose(cands), MobilityTier::pse_wavespace);  // dwell 1
   EXPECT_EQ(policy.choose(cands), MobilityTier::pme_krylov);     // dwell met
   EXPECT_EQ(policy.switches(), 1u);
 }
 
-TEST(TierPolicy, RoutedSimulationAdoptsTea) {
-  // End-to-end: a loose budget routes the small-n run to the cheapest tier
-  // and the probes keep validating it.
+TEST(TierPolicy, RoutedSimulationAdoptsAndValidatesTier) {
+  // End-to-end: a budget only the dense tier fits promotes the pme_krylov
+  // native run at its first rebuild, and the probes keep validating the
+  // adopted tier without barring it.
   ParticleSystem sys = golden_system(32);
   const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);
   auto forces = std::make_shared<RepulsiveHarmonic>(1.0);
   MatrixFreeBdSimulation sim(std::move(sys), forces, golden_config(), pme,
                              1e-2);
-  sim.set_error_budget(1e-1);
+  sim.set_error_budget(1e-5);
   sim.step(8);
-  EXPECT_EQ(sim.tier(), MobilityTier::tea);
-  EXPECT_GE(sim.tier_switches(), 1u);
+  EXPECT_EQ(sim.tier(), MobilityTier::dense);
+  EXPECT_EQ(sim.tier_switches(), 1u);
   ASSERT_NE(sim.tier_policy(), nullptr);
-  EXPECT_FALSE(sim.tier_policy()->barred(MobilityTier::tea));
-  EXPECT_DOUBLE_EQ(sim.manifest().error_budget, 1e-1);
-  // A tight budget keeps a mesh tier (TEA's declared 5e-2 doesn't fit).
+  EXPECT_FALSE(sim.tier_policy()->barred(MobilityTier::dense));
+  if constexpr (obs::kEnabled) {
+    ASSERT_FALSE(sim.health().ep_history().empty());
+    EXPECT_LE(sim.health().ep_max(), 1e-5);
+  }
+  EXPECT_DOUBLE_EQ(sim.manifest().error_budget, 1e-5);
+  // A loose budget lets the perf model pick among all three tiers; the
+  // choice must fit the budget and survive its probes.
   ParticleSystem sys2 = golden_system(32);
   MatrixFreeBdSimulation sim2(std::move(sys2), forces, golden_config(), pme,
                               1e-2);
-  sim2.set_error_budget(1e-3);
-  sim2.step(4);
-  EXPECT_NE(sim2.tier(), MobilityTier::tea);
-  EXPECT_LE(tier_default_ep(sim2.tier()), 1e-3);
+  sim2.set_error_budget(1e-1);
+  sim2.step(8);
+  EXPECT_LE(tier_default_ep(sim2.tier()), 1e-1);
+  EXPECT_FALSE(sim2.tier_policy()->barred(sim2.tier()));
 }
 
 // ---- Factory pairing enforcement -------------------------------------------
@@ -320,7 +331,7 @@ TEST(BackendFactory, RejectsMismatchedKernelMethodPairs) {
   EXPECT_NO_THROW(make_mobility_backend(MobilityTier::pse_wavespace,
                                         sys.size(), sys.box, sys.radius, bad,
                                         krylov, nlist));
-  EXPECT_NO_THROW(make_mobility_backend(MobilityTier::tea, sys.size(),
+  EXPECT_NO_THROW(make_mobility_backend(MobilityTier::dense, sys.size(),
                                         sys.box, sys.radius, bad2, krylov,
                                         nullptr));
 }
@@ -335,7 +346,8 @@ TEST(BackendFactory, ParamsForTierEnforcePairing) {
                                            1.0, 1e-3);
   EXPECT_EQ(pw.brownian, BrownianMethod::wavespace);
   EXPECT_EQ(pw.kernel, EwaldKernel::pse);
-  EXPECT_THROW(pme_params_for_tier(MobilityTier::tea, box, 1.0, 1e-3), Error);
+  EXPECT_THROW(pme_params_for_tier(MobilityTier::dense, box, 1.0, 1e-3),
+               Error);
 }
 
 // ---- Stale-view hazard ------------------------------------------------------
@@ -363,7 +375,7 @@ TEST(BackendCheckpoint, V3RoundTripsTierFields) {
   ParticleSystem sys = golden_system(12);
   obs::RunManifest m = obs::RunManifest::build_info();
   m.particles = sys.size();
-  m.mobility_tier = "tea";
+  m.mobility_tier = "dense";
   m.tier_switches = 3;
   m.error_budget = 5e-2;
   const std::string path =
@@ -372,7 +384,7 @@ TEST(BackendCheckpoint, V3RoundTripsTierFields) {
   save_checkpoint(path, {sys, 42, 7, m});
   const Checkpoint cp = load_checkpoint(path);
   std::filesystem::remove(path);
-  EXPECT_EQ(cp.manifest.mobility_tier, "tea");
+  EXPECT_EQ(cp.manifest.mobility_tier, "dense");
   EXPECT_EQ(cp.manifest.tier_switches, 3u);
   EXPECT_DOUBLE_EQ(cp.manifest.error_budget, 5e-2);
 }

@@ -37,7 +37,7 @@ Validates that
     run configuration, PME parameters, perf-counter state, and the fidelity
     tier block: mobility_tier/switches/error_budget); --require-tier NAME
     additionally pins the manifest's active tier (the CI leg that forces
-    HBD_TIER=tea uses it to prove the tier actually took).  Stream files pin
+    HBD_TIER=dense uses it to prove the tier actually took).  Stream files pin
     the last window's live tier field instead — their header manifest is
     written at stream-open, before an env-forced set_tier takes effect.
 
@@ -50,7 +50,7 @@ import numbers
 import sys
 
 
-MOBILITY_TIERS = ("tea", "pse_wavespace", "pme_krylov", "dense")
+MOBILITY_TIERS = ("pse_wavespace", "pme_krylov", "dense")
 
 # Set from --require-tier: every checked manifest must then carry this
 # active tier (used by the forced-HBD_TIER CI legs).
@@ -104,9 +104,6 @@ def check_manifest(doc, path, pin_tier=True):
                 f"manifest.pme.{key} must be numeric")
     require(pme.get("precision") in ("fp64", "fp32"), path,
             "manifest.pme.precision must be 'fp64' or 'fp32'")
-    cf = pme.get("colored_fraction")
-    require(is_num(cf) and 0.0 <= cf <= 1.0, path,
-            "manifest.pme.colored_fraction must be in [0, 1]")
     require(pme.get("brownian_method") in ("cholesky", "krylov",
                                            "wavespace"), path,
             "manifest.pme.brownian_method must be cholesky/krylov/wavespace")
